@@ -13,7 +13,10 @@
 //! byte-identical for every N.
 
 use gcache_bench::sweep::parallel_map;
-use gcache_bench::{bench_cli, export_telemetry, export_trace, run, speedup, Table};
+use gcache_bench::{
+    bench_cli, export_telemetry, export_trace, point_config, run, speedup, PolicyPlanes, RunOpts,
+    Table,
+};
 use gcache_core::policy::gcache::GCacheConfig;
 use gcache_sim::config::{GpuConfig, Hierarchy, L1PolicyKind, WarpSchedKind};
 use gcache_sim::gpu::Gpu;
@@ -33,12 +36,25 @@ fn gc(cfg: GCacheConfig) -> L1PolicyKind {
     L1PolicyKind::GCache(cfg)
 }
 
+/// The flat Table 2 machine running `policy` on `bench`, as a grid job.
+fn job<'a>(policy: L1PolicyKind, bench: &'a dyn Benchmark, opts: &'a RunOpts) -> Job<'a> {
+    Box::new(move || run(policy, bench, None, Hierarchy::Flat, opts))
+}
+
 fn run_with(
     policy: L1PolicyKind,
     bench: &dyn Benchmark,
+    opts: &RunOpts,
     mutate: impl FnOnce(&mut GpuConfig),
 ) -> SimStats {
-    let mut cfg = GpuConfig::fermi_with_policy(policy).expect("valid config");
+    let mut cfg = point_config(
+        policy,
+        None,
+        Hierarchy::Flat,
+        1,
+        PolicyPlanes::default(),
+        opts,
+    );
     mutate(&mut cfg);
     Gpu::new(cfg)
         .run_kernel(bench)
@@ -52,6 +68,7 @@ fn main() {
     }
     let benches = cli.benchmarks();
     let jobs = cli.jobs();
+    let opts = &cli.run;
 
     // --- TH_hot sweep -----------------------------------------------------
     eprintln!(
@@ -61,19 +78,16 @@ fn main() {
     let grid: Vec<Job<'_>> = benches
         .iter()
         .flat_map(|b| {
-            std::iter::once(
-                Box::new(|| run(L1PolicyKind::Lru, b.as_ref(), None, Hierarchy::Flat)) as Job<'_>,
-            )
-            .chain([1u8, 2, 3, 4].into_iter().map(move |t| {
-                Box::new(move || {
+            std::iter::once(job(L1PolicyKind::Lru, b.as_ref(), opts)).chain(
+                [1u8, 2, 3, 4].into_iter().map(move |t| {
                     let cfg = GCacheConfig {
                         th_hot: t,
                         th_hot_victim: 1,
                         ..GCacheConfig::default()
                     };
-                    run(gc(cfg), b.as_ref(), None, Hierarchy::Flat)
-                }) as Job<'_>
-            }))
+                    job(gc(cfg), b.as_ref(), opts)
+                }),
+            )
         })
         .collect();
     let mut results = run_jobs(grid, jobs).into_iter();
@@ -97,18 +111,15 @@ fn main() {
     let grid: Vec<Job<'_>> = benches
         .iter()
         .flat_map(|b| {
-            std::iter::once(
-                Box::new(|| run(L1PolicyKind::Lru, b.as_ref(), None, Hierarchy::Flat)) as Job<'_>,
-            )
-            .chain([1u32, 2, 4, 8].into_iter().map(move |m| {
-                Box::new(move || {
+            std::iter::once(job(L1PolicyKind::Lru, b.as_ref(), opts)).chain(
+                [1u32, 2, 4, 8].into_iter().map(move |m| {
                     let cfg = GCacheConfig {
                         aging_period: m,
                         ..GCacheConfig::default()
                     };
-                    run(gc(cfg), b.as_ref(), None, Hierarchy::Flat)
-                }) as Job<'_>
-            }))
+                    job(gc(cfg), b.as_ref(), opts)
+                }),
+            )
         })
         .collect();
     let mut results = run_jobs(grid, jobs).into_iter();
@@ -132,16 +143,15 @@ fn main() {
     let grid: Vec<Job<'_>> = benches
         .iter()
         .flat_map(|b| {
-            std::iter::once(
-                Box::new(|| run(L1PolicyKind::Lru, b.as_ref(), None, Hierarchy::Flat)) as Job<'_>,
+            std::iter::once(job(L1PolicyKind::Lru, b.as_ref(), opts)).chain(
+                [1usize, 4, 16].into_iter().map(move |s_v| {
+                    Box::new(move || {
+                        run_with(gc(GCacheConfig::default()), b.as_ref(), opts, |c| {
+                            c.victim_bit_share = s_v;
+                        })
+                    }) as Job<'_>
+                }),
             )
-            .chain([1usize, 4, 16].into_iter().map(move |s_v| {
-                Box::new(move || {
-                    run_with(gc(GCacheConfig::default()), b.as_ref(), |c| {
-                        c.victim_bit_share = s_v;
-                    })
-                }) as Job<'_>
-            }))
         })
         .collect();
     let mut results = run_jobs(grid, jobs).into_iter();
@@ -165,16 +175,15 @@ fn main() {
     let grid: Vec<Job<'_>> = benches
         .iter()
         .flat_map(|b| {
-            std::iter::once(
-                Box::new(|| run(L1PolicyKind::Lru, b.as_ref(), None, Hierarchy::Flat)) as Job<'_>,
+            std::iter::once(job(L1PolicyKind::Lru, b.as_ref(), opts)).chain(
+                [256u64, 512, 2048, 0].into_iter().map(move |e| {
+                    Box::new(move || {
+                        run_with(gc(GCacheConfig::default()), b.as_ref(), opts, |c| {
+                            c.l1_epoch_len = e
+                        })
+                    }) as Job<'_>
+                }),
             )
-            .chain([256u64, 512, 2048, 0].into_iter().map(move |e| {
-                Box::new(move || {
-                    run_with(gc(GCacheConfig::default()), b.as_ref(), |c| {
-                        c.l1_epoch_len = e
-                    })
-                }) as Job<'_>
-            }))
         })
         .collect();
     let mut results = run_jobs(grid, jobs).into_iter();
@@ -199,22 +208,15 @@ fn main() {
         .iter()
         .flat_map(|b| {
             [
-                Box::new(|| run(L1PolicyKind::Lru, b.as_ref(), None, Hierarchy::Flat)) as Job<'_>,
+                job(L1PolicyKind::Lru, b.as_ref(), opts),
+                job(gc(GCacheConfig::default()), b.as_ref(), opts),
                 Box::new(|| {
-                    run(
-                        gc(GCacheConfig::default()),
-                        b.as_ref(),
-                        None,
-                        Hierarchy::Flat,
-                    )
-                }) as Job<'_>,
-                Box::new(|| {
-                    run_with(L1PolicyKind::Lru, b.as_ref(), |c| {
+                    run_with(L1PolicyKind::Lru, b.as_ref(), opts, |c| {
                         c.warp_sched = WarpSchedKind::Gto
                     })
                 }) as Job<'_>,
                 Box::new(|| {
-                    run_with(gc(GCacheConfig::default()), b.as_ref(), |c| {
+                    run_with(gc(GCacheConfig::default()), b.as_ref(), opts, |c| {
                         c.warp_sched = WarpSchedKind::Gto;
                     })
                 }) as Job<'_>,

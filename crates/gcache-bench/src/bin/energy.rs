@@ -27,12 +27,19 @@ fn main() {
     for b in cli.benchmarks() {
         let info = b.info();
         eprintln!("[energy] running {} ...", info.name);
-        let bs = run(L1PolicyKind::Lru, b.as_ref(), None, Hierarchy::Flat);
+        let bs = run(
+            L1PolicyKind::Lru,
+            b.as_ref(),
+            None,
+            Hierarchy::Flat,
+            &cli.run,
+        );
         let gc = run(
             L1PolicyKind::GCache(GCacheConfig::default()),
             b.as_ref(),
             None,
             Hierarchy::Flat,
+            &cli.run,
         );
         let flits = |s: &gcache_sim::stats::SimStats| s.noc_req.flits + s.noc_resp.flits;
         let dram = |s: &gcache_sim::stats::SimStats| s.dram.reads + s.dram.writes;

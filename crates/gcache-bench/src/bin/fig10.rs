@@ -55,7 +55,7 @@ fn main() {
         })
         .collect();
     eprintln!("[fig10] {} runs on {jobs} jobs ...", grid.len());
-    let mut results = run_design_points(&grid, jobs).into_iter();
+    let mut results = run_design_points(&grid, jobs, &cli.run).into_iter();
 
     let mut t = Table::new(&["Bench", "Cat", "SPDP-B", "GC"]);
     let mut spdp_s = Vec::new();

@@ -14,7 +14,13 @@ fn main() {
     for b in cli.benchmarks() {
         let info = b.info();
         eprintln!("[fig2] running {} ...", info.name);
-        let stats = run(L1PolicyKind::Lru, b.as_ref(), None, Hierarchy::Flat);
+        let stats = run(
+            L1PolicyKind::Lru,
+            b.as_ref(),
+            None,
+            Hierarchy::Flat,
+            &cli.run,
+        );
         let h = &stats.l1.reuse;
         t.row(vec![
             info.name.to_string(),

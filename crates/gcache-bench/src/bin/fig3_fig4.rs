@@ -39,8 +39,13 @@ fn main() {
         let runs: Vec<_> = SIZES_KB
             .iter()
             .map(|&kb| {
-                let (stats, sampler) =
-                    run_sampled(L1PolicyKind::Lru, b.as_ref(), Some(kb), Hierarchy::Flat);
+                let (stats, sampler) = run_sampled(
+                    L1PolicyKind::Lru,
+                    b.as_ref(),
+                    Some(kb),
+                    Hierarchy::Flat,
+                    &cli.run,
+                );
                 if cli.telemetry.is_some() {
                     series.push((format!("{}@{kb}KB", info.name), stats.design, sampler));
                 }

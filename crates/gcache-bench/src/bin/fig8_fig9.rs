@@ -39,7 +39,7 @@ fn main() {
         "[fig8] SPDP-B sweep: {} runs on {jobs} jobs ...",
         pd_grid.len()
     );
-    let mut pd_stats = run_design_points(&pd_grid, jobs).into_iter();
+    let mut pd_stats = run_design_points(&pd_grid, jobs, &cli.run).into_iter();
     let best_pds: Vec<u16> = benches
         .iter()
         .map(|_| {
@@ -68,7 +68,7 @@ fn main() {
         design_grid.len()
     );
     let per_design = designs(0).len();
-    let mut all = run_design_points(&design_grid, jobs).into_iter();
+    let mut all = run_design_points(&design_grid, jobs, &cli.run).into_iter();
 
     let design_names = ["BS", "BS-S", "PDP-3", "PDP-8", "SPDP-B", "GC"];
     let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); design_names.len()];

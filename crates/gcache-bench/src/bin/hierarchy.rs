@@ -118,7 +118,7 @@ fn main() {
         })
         .collect();
     eprintln!("[hierarchy] grid: {} runs on {jobs} jobs ...", grid.len());
-    let all = run_design_points(&grid, jobs);
+    let all = run_design_points(&grid, jobs, &cli.run);
 
     let per_bench = combos.len() * policies().len();
     for (ci, &(shape, nports)) in combos.iter().enumerate() {

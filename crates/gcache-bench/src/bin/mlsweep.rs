@@ -63,7 +63,7 @@ fn main() {
         })
         .collect();
     eprintln!("[mlsweep] {} runs on {jobs} jobs ...", grid.len());
-    let mut results = run_design_points(&grid, jobs).into_iter();
+    let mut results = run_design_points(&grid, jobs, &cli.run).into_iter();
 
     let mut t = Table::new(&[
         "Bench",
@@ -104,6 +104,7 @@ fn main() {
                         None,
                         Hierarchy::Flat,
                         planes,
+                        &cli.run,
                     );
                     (b.info().name.to_string(), name, sampler)
                 })

@@ -23,10 +23,10 @@
 use gcache_bench::microbench::{l1_access_pass_ns, L1_BENCH_POLICIES};
 use gcache_bench::sweep::{run_design_points, DesignPoint};
 use gcache_bench::{
-    bench_cli, designs, export_telemetry, export_trace, run, set_fast_forward, PolicyPlanes,
+    bench_cli, designs, export_telemetry, export_trace, point_config, run, PolicyPlanes, RunOpts,
 };
 use gcache_core::policy::gcache::GCacheConfig;
-use gcache_sim::config::{GpuConfig, Hierarchy, L1PolicyKind};
+use gcache_sim::config::{Hierarchy, L1PolicyKind};
 use gcache_sim::gpu::Gpu;
 use gcache_sim::telemetry::Profile;
 use gcache_workloads::{registry, Benchmark, Scale};
@@ -38,13 +38,17 @@ use std::time::Instant;
 /// a large streaming workload.
 const FULLSCALE_BENCHES: &[&str] = &["BFS", "SPMV"];
 
-/// One self-profiled run (GC design, fast-forward as configured): returns
+/// One self-profiled run (GC design, fast-forward as `opts` says): returns
 /// the accumulated [`Profile`].
-fn profiled_run(bench: &dyn Benchmark) -> Profile {
-    let mut cfg = GpuConfig::fermi_with_policy(L1PolicyKind::GCache(GCacheConfig::default()))
-        .expect("valid config");
-    cfg.fast_forward = gcache_bench::fast_forward_enabled();
-    cfg.ldst_batch = gcache_bench::ldst_batch_enabled();
+fn profiled_run(bench: &dyn Benchmark, opts: &RunOpts) -> Profile {
+    let cfg = point_config(
+        L1PolicyKind::GCache(GCacheConfig::default()),
+        None,
+        Hierarchy::Flat,
+        1,
+        PolicyPlanes::default(),
+        opts,
+    );
     let mut gpu = Gpu::new(cfg);
     gpu.enable_profiling();
     gpu.run_kernel(bench)
@@ -98,21 +102,24 @@ fn main() {
         designs(8).len()
     );
 
+    // The timed passes pin fast-forward themselves; everything else comes
+    // from the command line.
+    let (mut ff_on, mut ff_off) = (cli.run.clone(), cli.run.clone());
+    (ff_on.fast_forward, ff_off.fast_forward) = (true, false);
+
     eprintln!("[sweep_bench] serial pass, fast-forward off (1 job) ...");
-    set_fast_forward(false);
     let t0 = Instant::now();
-    let serial_no_ff = run_design_points(&grid, 1);
+    let serial_no_ff = run_design_points(&grid, 1, &ff_off);
     let serial_no_ff_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     eprintln!("[sweep_bench] serial pass, fast-forward on (1 job) ...");
-    set_fast_forward(true);
     let t0 = Instant::now();
-    let serial = run_design_points(&grid, 1);
+    let serial = run_design_points(&grid, 1, &ff_on);
     let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     eprintln!("[sweep_bench] parallel pass ({jobs} jobs) ...");
     let t0 = Instant::now();
-    let parallel = run_design_points(&grid, jobs);
+    let parallel = run_design_points(&grid, jobs, &ff_on);
     let parallel_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     assert_eq!(serial.len(), parallel.len());
@@ -148,12 +155,17 @@ fn main() {
 
         // Best of three per side: single-run wall clock on a loaded host
         // is noisy, and the minimum is the least-disturbed observation.
-        let time_side = |ff: bool| {
-            set_fast_forward(ff);
+        let time_side = |opts: &RunOpts| {
             let mut best: Option<(f64, _)> = None;
             for _ in 0..3 {
                 let t0 = Instant::now();
-                let stats = run(L1PolicyKind::Lru, bench.as_ref(), None, Hierarchy::Flat);
+                let stats = run(
+                    L1PolicyKind::Lru,
+                    bench.as_ref(),
+                    None,
+                    Hierarchy::Flat,
+                    opts,
+                );
                 let ms = t0.elapsed().as_secs_f64() * 1e3;
                 if let Some((_, prev)) = &best {
                     assert_eq!(
@@ -170,10 +182,9 @@ fn main() {
         };
 
         eprintln!("[sweep_bench] full-scale {name}, fast-forward on (best of 3) ...");
-        let (on_ms, fast) = time_side(true);
+        let (on_ms, fast) = time_side(&ff_on);
         eprintln!("[sweep_bench] full-scale {name}, fast-forward off (best of 3) ...");
-        let (off_ms, slow) = time_side(false);
-        set_fast_forward(true);
+        let (off_ms, slow) = time_side(&ff_off);
 
         assert_eq!(
             format!("{fast:?}"),
@@ -210,7 +221,7 @@ fn main() {
             "[sweep_bench] self-profiling {} under GC ...",
             bench.info().name
         );
-        let p = profiled_run(bench.as_ref());
+        let p = profiled_run(bench.as_ref(), &cli.run);
         for line in p.to_string().lines() {
             eprintln!("[sweep_bench]   {line}");
         }

@@ -43,7 +43,7 @@ fn main() {
         })
         .collect();
     eprintln!("[table3] {} runs on {jobs} jobs ...", grid.len());
-    let mut results = run_design_points(&grid, jobs).into_iter();
+    let mut results = run_design_points(&grid, jobs, &cli.run).into_iter();
 
     let mut t = Table::new(&[
         "Benchmark",

@@ -41,51 +41,15 @@ use gcache_sim::telemetry::{Profile, Sample, Sampler};
 use gcache_workloads::{Benchmark, Scale};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-/// Process-wide fast-forward switch (default on), so every [`run`] call in
-/// a binary honours a single `--no-fast-forward` on its command line
-/// without threading a flag through the sweep plumbing. Stats are
-/// bit-identical either way — the flag exists for cross-checking and for
-/// profiling the plain cycle loop.
-static FAST_FORWARD: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables idle-cycle fast-forward for subsequent [`run`]s.
-pub fn set_fast_forward(on: bool) {
-    FAST_FORWARD.store(on, Ordering::Relaxed);
-}
-
-/// Whether [`run`] will simulate with idle-cycle fast-forward.
-pub fn fast_forward_enabled() -> bool {
-    FAST_FORWARD.load(Ordering::Relaxed)
-}
-
-/// Process-wide batched-decode switch for the coalesce→L1 pipeline
-/// (default on), mirroring the fast-forward switch: `--no-ldst-batch`
-/// makes every [`run`] present L1 accesses through the per-access decode
-/// path instead. Stats are bit-identical either way — the flag exists for
-/// the A/B cross-check gate in `scripts/check.sh`.
-static LDST_BATCH: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables batched coalescer set/tag decode for subsequent
-/// [`run`]s.
-pub fn set_ldst_batch(on: bool) {
-    LDST_BATCH.store(on, Ordering::Relaxed);
-}
-
-/// Whether [`run`] will simulate with batched coalescer decode.
-pub fn ldst_batch_enabled() -> bool {
-    LDST_BATCH.load(Ordering::Relaxed)
-}
 
 /// Checkpoint interval in cycles when `--checkpoint` is given without
 /// `--checkpoint-every`.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 65_536;
 
-/// Process-wide checkpoint/resume options (set once at startup, like the
-/// fast-forward switch), honoured by every [`run`]-family simulation.
-#[derive(Clone, Debug, Default)]
+/// Checkpoint/resume options of one run (`--checkpoint`,
+/// `--checkpoint-every`, `--resume`), honoured by every [`run`]-family
+/// simulation.
+#[derive(Clone, Debug)]
 pub struct CheckpointOpts {
     /// Stem from `--checkpoint PATH`: each grid point checkpoints to
     /// `PATH.<label-hash>.ckpt` (distinct files, so parallel sweep workers
@@ -98,17 +62,38 @@ pub struct CheckpointOpts {
     pub resume: Option<String>,
 }
 
-static CHECKPOINT: OnceLock<CheckpointOpts> = OnceLock::new();
-
-/// Installs the process-wide checkpoint/resume options. Only the first
-/// call takes effect (the options mirror one process's command line).
-pub fn set_checkpoint_opts(opts: CheckpointOpts) {
-    let _ = CHECKPOINT.set(opts);
+impl Default for CheckpointOpts {
+    fn default() -> Self {
+        CheckpointOpts {
+            write: None,
+            every: DEFAULT_CHECKPOINT_EVERY,
+            resume: None,
+        }
+    }
 }
 
-/// The installed checkpoint/resume options, if any.
-pub fn checkpoint_opts() -> Option<&'static CheckpointOpts> {
-    CHECKPOINT.get()
+/// How the run helpers simulate each point: built once by [`Cli`] from
+/// the command line and passed explicitly to every [`run`]-family call,
+/// [`sweep::run_design_points`] and the sweep server's workers. None of
+/// it changes a simulated byte — it selects how a point is executed, not
+/// what it computes.
+#[derive(Clone, Debug)]
+pub struct RunOpts {
+    /// Skip provably idle cycles (`GpuConfig::fast_forward`; off with
+    /// `--no-fast-forward`). Stats are bit-identical either way — off
+    /// exists for cross-checking and for profiling the plain cycle loop.
+    pub fast_forward: bool,
+    /// Checkpoint/resume options.
+    pub checkpoint: CheckpointOpts,
+}
+
+impl Default for RunOpts {
+    fn default() -> Self {
+        RunOpts {
+            fast_forward: true,
+            checkpoint: CheckpointOpts::default(),
+        }
+    }
 }
 
 /// Candidate protection distances swept to find SPDP-B's per-benchmark
@@ -119,9 +104,9 @@ pub const PD_CANDIDATES: &[u16] = &[2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96];
 pub const USAGE: &str = "\
 usage: <experiment> [--quick] [--bench NAME[,NAME...]] [--jobs N]
                     [--hierarchy SHAPE[,SHAPE...]] [--cluster-ports N[,N...]]
-                    [--no-fast-forward] [--no-ldst-batch] [--telemetry PATH]
-                    [--trace-out PATH] [--profile] [--checkpoint PATH]
-                    [--checkpoint-every N] [--resume PATH]
+                    [--no-fast-forward] [--telemetry PATH] [--trace-out PATH]
+                    [--profile] [--checkpoint PATH] [--checkpoint-every N]
+                    [--resume PATH]
 
   --quick        use shrunk workloads (smoke-test scale)
   --bench NAMES  restrict to these benchmarks (paper abbreviations)
@@ -141,10 +126,6 @@ usage: <experiment> [--quick] [--bench NAME[,NAME...]] [--jobs N]
   --no-fast-forward
                  tick every cycle instead of skipping provably idle
                  ones; slower, bit-identical output (cross-checking)
-  --no-ldst-batch
-                 decode each L1 access's set/tag at presentation time
-                 instead of batching the decode per coalesced warp
-                 group; slower, bit-identical output (cross-checking)
   --telemetry PATH
                  additionally run the selected benchmarks under the GC
                  design with the per-epoch time-series sampler attached
@@ -191,11 +172,9 @@ pub struct Cli {
     /// Cluster-crossbar port counts from `--cluster-ports` (empty = the
     /// binary's default; only the hierarchy sweep uses the axis).
     pub cluster_ports: Vec<usize>,
-    /// Tick every cycle instead of fast-forwarding over idle ones.
-    pub no_fast_forward: bool,
-    /// Decode set/tag per presented L1 access instead of per coalesced
-    /// group (`--no-ldst-batch`).
-    pub no_ldst_batch: bool,
+    /// How each point is simulated (`--no-fast-forward`, `--checkpoint`,
+    /// `--checkpoint-every`, `--resume`).
+    pub run: RunOpts,
     /// Write a per-epoch telemetry time series here (`--telemetry`);
     /// CSV unless the path ends in `.json`.
     pub telemetry: Option<String>,
@@ -203,12 +182,6 @@ pub struct Cli {
     pub trace_out: Option<String>,
     /// Self-profile the simulator (`--profile`).
     pub profile: bool,
-    /// Checkpoint file stem (`--checkpoint`).
-    pub checkpoint: Option<String>,
-    /// Checkpoint cadence in cycles (`--checkpoint-every`).
-    pub checkpoint_every: Option<u64>,
-    /// Resume file stem (`--resume`).
-    pub resume: Option<String>,
 }
 
 /// Validates at parse time that `path`'s parent directory exists, so a
@@ -261,26 +234,17 @@ impl Cli {
     /// Parses `std::env::args()`-style arguments, exiting with the usage
     /// message on any error (unknown flag, missing or malformed value).
     pub fn parse(args: impl Iterator<Item = String>) -> Cli {
-        let cli = Cli::try_parse(args).unwrap_or_else(|e| {
+        Cli::try_parse(args).unwrap_or_else(|e| {
             eprintln!("error: {e}\n\n{USAGE}");
             std::process::exit(2);
-        });
-        set_fast_forward(!cli.no_fast_forward);
-        set_ldst_batch(!cli.no_ldst_batch);
-        if cli.checkpoint.is_some() || cli.resume.is_some() {
-            set_checkpoint_opts(CheckpointOpts {
-                write: cli.checkpoint.clone(),
-                every: cli.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
-                resume: cli.resume.clone(),
-            });
-        }
-        cli
+        })
     }
 
     /// Fallible flavour of [`Cli::parse`]: returns a description of the
     /// first problem instead of exiting.
     pub fn try_parse(args: impl Iterator<Item = String>) -> Result<Cli, String> {
         let mut cli = Cli::default();
+        let mut every_given = false;
         let mut args = args.peekable();
         while let Some(a) = args.next() {
             match a.as_str() {
@@ -321,8 +285,7 @@ impl Cli {
                         })
                         .collect::<Result<_, _>>()?;
                 }
-                "--no-fast-forward" => cli.no_fast_forward = true,
-                "--no-ldst-batch" => cli.no_ldst_batch = true,
+                "--no-fast-forward" => cli.run.fast_forward = false,
                 "--telemetry" => {
                     let path = args.next().ok_or("--telemetry requires a value")?;
                     ensure_parent_dir("--telemetry", &path)?;
@@ -337,7 +300,7 @@ impl Cli {
                 "--checkpoint" => {
                     let path = args.next().ok_or("--checkpoint requires a value")?;
                     ensure_parent_dir("--checkpoint", &path)?;
-                    cli.checkpoint = Some(path);
+                    cli.run.checkpoint.write = Some(path);
                 }
                 "--checkpoint-every" => {
                     let n = args.next().ok_or("--checkpoint-every requires a value")?;
@@ -347,17 +310,18 @@ impl Cli {
                     if every == 0 {
                         return Err("--checkpoint-every must be at least 1".into());
                     }
-                    cli.checkpoint_every = Some(every);
+                    cli.run.checkpoint.every = every;
+                    every_given = true;
                 }
                 "--resume" => {
                     let path = args.next().ok_or("--resume requires a value")?;
                     ensure_parent_dir("--resume", &path)?;
-                    cli.resume = Some(path);
+                    cli.run.checkpoint.resume = Some(path);
                 }
                 other => return Err(format!("unknown flag '{other}'")),
             }
         }
-        if cli.checkpoint_every.is_some() && cli.checkpoint.is_none() {
+        if every_given && cli.run.checkpoint.write.is_none() {
             return Err("--checkpoint-every requires --checkpoint".into());
         }
         Ok(cli)
@@ -508,7 +472,8 @@ impl PolicyPlanes {
 
 /// Runs one benchmark under one L1 policy on the Table 2 machine,
 /// optionally overriding the L1 capacity (KB) and the memory-hierarchy
-/// shape (`Hierarchy::Flat` = the paper's machine).
+/// shape (`Hierarchy::Flat` = the paper's machine), simulated as `opts`
+/// says.
 ///
 /// # Panics
 ///
@@ -520,42 +485,29 @@ pub fn run(
     bench: &dyn Benchmark,
     l1_kb: Option<u64>,
     hierarchy: Hierarchy,
-) -> SimStats {
-    run_with_ports(policy, bench, l1_kb, hierarchy, 1)
-}
-
-/// Like [`run`], additionally setting the cluster-crossbar port count
-/// (`1` = the legacy single-injection-port mesh node; only meaningful on
-/// clustered hierarchies).
-///
-/// # Panics
-///
-/// Same conditions as [`run`], plus `cluster_ports == 0`.
-pub fn run_with_ports(
-    policy: L1PolicyKind,
-    bench: &dyn Benchmark,
-    l1_kb: Option<u64>,
-    hierarchy: Hierarchy,
-    cluster_ports: usize,
+    opts: &RunOpts,
 ) -> SimStats {
     run_with_planes(
         policy,
         bench,
         l1_kb,
         hierarchy,
-        cluster_ports,
+        1,
         PolicyPlanes::default(),
+        opts,
     )
 }
 
-/// Like [`run_with_ports`], additionally composing the orthogonal L1
-/// policy planes (fill-time bypass, eviction-time clean copy-back) around
-/// the replacement policy. [`PolicyPlanes::default`] reproduces the
+/// Like [`run`], additionally setting the cluster-crossbar port count
+/// (`1` = the legacy single-injection-port mesh node; only meaningful on
+/// clustered hierarchies) and composing the orthogonal L1 policy planes
+/// (fill-time bypass, eviction-time clean copy-back) around the
+/// replacement policy. [`PolicyPlanes::default`] reproduces the
 /// single-plane behaviour bit-identically.
 ///
 /// # Panics
 ///
-/// Same conditions as [`run_with_ports`].
+/// Same conditions as [`run`], plus `cluster_ports == 0`.
 pub fn run_with_planes(
     policy: L1PolicyKind,
     bench: &dyn Benchmark,
@@ -563,8 +515,9 @@ pub fn run_with_planes(
     hierarchy: Hierarchy,
     cluster_ports: usize,
     planes: PolicyPlanes,
+    opts: &RunOpts,
 ) -> SimStats {
-    let cfg = point_config(policy, l1_kb, hierarchy, cluster_ports, planes);
+    let cfg = point_config(policy, l1_kb, hierarchy, cluster_ports, planes, opts);
     let label = point_label(
         &policy,
         bench,
@@ -574,24 +527,26 @@ pub fn run_with_planes(
         planes,
         /* sampled = */ false,
     );
-    let (stats, _) = run_gpu(cfg, bench, false, &label);
+    let (stats, _) = run_gpu(cfg, bench, false, &label, &opts.checkpoint);
     stats
 }
 
 /// The machine configuration for one grid point — the single place the
 /// run helpers and the sweep server turn a `(policy, L1 size, hierarchy,
-/// ports, planes)` tuple into a validated [`GpuConfig`].
+/// ports, planes)` tuple and the run's [`RunOpts`] into a validated
+/// [`GpuConfig`].
 ///
 /// # Panics
 ///
 /// Panics on an invalid L1 size, hierarchy, or port count — grid axes are
 /// expected to be pre-validated at the command line.
-pub(crate) fn point_config(
+pub fn point_config(
     policy: L1PolicyKind,
     l1_kb: Option<u64>,
     hierarchy: Hierarchy,
     cluster_ports: usize,
     planes: PolicyPlanes,
+    opts: &RunOpts,
 ) -> GpuConfig {
     let mut cfg = GpuConfig::fermi_with_policy(policy).expect("valid config");
     if let Some(kb) = l1_kb {
@@ -606,8 +561,7 @@ pub(crate) fn point_config(
     cfg = cfg
         .with_l1_bypass(planes.l1_bypass)
         .with_l1_copy_back(planes.l1_copy_back);
-    cfg.fast_forward = fast_forward_enabled();
-    cfg.ldst_batch = ldst_batch_enabled();
+    cfg.fast_forward = opts.fast_forward;
     cfg
 }
 
@@ -689,8 +643,8 @@ pub(crate) fn read_labelled_checkpoint(
     Ok(snapshot)
 }
 
-/// Builds a GPU for one grid point and runs it, honouring the
-/// process-wide checkpoint/resume options: an existing checkpoint for
+/// Builds a GPU for one grid point and runs it, honouring the run's
+/// checkpoint/resume options: an existing checkpoint for
 /// `label` is restored first (diagnostics go to stderr; stdout stays
 /// byte-identical), periodic snapshots are written while running, and the
 /// checkpoint file is removed once the point completes.
@@ -699,6 +653,7 @@ fn run_gpu(
     bench: &dyn Benchmark,
     with_sampler: bool,
     label: &str,
+    ckpt: &CheckpointOpts,
 ) -> (SimStats, Option<Sampler>) {
     let build = || {
         let mut gpu = Gpu::new(cfg.clone());
@@ -708,8 +663,7 @@ fn run_gpu(
         gpu
     };
     let mut gpu = build();
-    let opts = checkpoint_opts();
-    if let Some(stem) = opts.and_then(|o| o.resume.as_ref()) {
+    if let Some(stem) = &ckpt.resume {
         let path = checkpoint_file(stem, label);
         match read_labelled_checkpoint(&path, label) {
             Ok(None) => {}
@@ -729,11 +683,10 @@ fn run_gpu(
             Err(e) => eprintln!("warning: ignoring checkpoint {}: {e}", path.display()),
         }
     }
-    let result = match opts.and_then(|o| o.write.as_ref()) {
+    let result = match &ckpt.write {
         Some(stem) => {
             let path = checkpoint_file(stem, label);
-            let every = opts.expect("write implies opts").every;
-            let r = gpu.run_kernel_checkpointed(bench, every, |_, snapshot| {
+            let r = gpu.run_kernel_checkpointed(bench, ckpt.every, |_, snapshot| {
                 write_labelled_checkpoint(&path, label, &snapshot)
             });
             if r.is_ok() {
@@ -757,8 +710,16 @@ pub fn run_sampled(
     bench: &dyn Benchmark,
     l1_kb: Option<u64>,
     hierarchy: Hierarchy,
+    opts: &RunOpts,
 ) -> (SimStats, Sampler) {
-    run_sampled_with_planes(policy, bench, l1_kb, hierarchy, PolicyPlanes::default())
+    run_sampled_with_planes(
+        policy,
+        bench,
+        l1_kb,
+        hierarchy,
+        PolicyPlanes::default(),
+        opts,
+    )
 }
 
 /// Like [`run_sampled`], additionally composing the L1 policy planes —
@@ -773,12 +734,13 @@ pub fn run_sampled_with_planes(
     l1_kb: Option<u64>,
     hierarchy: Hierarchy,
     planes: PolicyPlanes,
+    opts: &RunOpts,
 ) -> (SimStats, Sampler) {
-    let cfg = point_config(policy, l1_kb, hierarchy, 1, planes);
+    let cfg = point_config(policy, l1_kb, hierarchy, 1, planes, opts);
     let label = point_label(
         &policy, bench, l1_kb, hierarchy, 1, planes, /* sampled = */ true,
     );
-    let (stats, sampler) = run_gpu(cfg, bench, true, &label);
+    let (stats, sampler) = run_gpu(cfg, bench, true, &label, &opts.checkpoint);
     (stats, sampler.expect("sampler attached by run_gpu"))
 }
 
@@ -829,7 +791,7 @@ pub fn export_telemetry(cli: &Cli) {
         .benchmarks()
         .iter()
         .map(|b| {
-            let (stats, sampler) = run_sampled(policy, b.as_ref(), None, Hierarchy::Flat);
+            let (stats, sampler) = run_sampled(policy, b.as_ref(), None, Hierarchy::Flat, &cli.run);
             (b.info().name.to_string(), stats.design, sampler)
         })
         .collect();
@@ -863,7 +825,7 @@ pub fn export_trace(cli: &Cli) {
     for (i, bench) in cli.benchmarks().iter().enumerate() {
         let name = bench.info().name;
         let pid = (i + 1) as u32;
-        let (ring, profile) = trace_gc_run(bench.as_ref());
+        let (ring, profile) = trace_gc_run(bench.as_ref(), &cli.run);
         b.add_process(pid, name);
         total_events += b.add_sim_events(pid, &ring.events());
         total_dropped += ring.dropped();
@@ -896,10 +858,17 @@ pub fn export_trace(cli: &Cli) {
 /// # Panics
 ///
 /// Panics if the simulation fails.
-pub fn trace_gc_run(bench: &dyn Benchmark) -> (SharedTraceRing, Option<Profile>) {
+pub fn trace_gc_run(bench: &dyn Benchmark, opts: &RunOpts) -> (SharedTraceRing, Option<Profile>) {
     let policy = L1PolicyKind::GCache(GCacheConfig::default());
     let ring = SharedTraceRing::new(TRACE_EXPORT_CAPACITY);
-    let cfg = point_config(policy, None, Hierarchy::Flat, 1, PolicyPlanes::default());
+    let cfg = point_config(
+        policy,
+        None,
+        Hierarchy::Flat,
+        1,
+        PolicyPlanes::default(),
+        opts,
+    );
     let mut gpu = Gpu::new(cfg);
     gpu.attach_trace(&ring);
     gpu.enable_profiling();
@@ -926,31 +895,14 @@ pub fn write_telemetry_series(path: &str, series: &[TelemetrySeries]) {
     eprintln!("telemetry series written to {path}");
 }
 
-/// Sweeps [`PD_CANDIDATES`] for a benchmark and returns `(best_pd, stats
-/// at best_pd)` by IPC — the oracle SPDP-B configuration.
-///
-/// Ties (within 0.2 %) go to the *smallest* PD: protection distance is
+/// Picks the oracle SPDP-B configuration from a [`PD_CANDIDATES`] sweep
+/// run as independent grid jobs: returns `(best_pd, stats at best_pd)` by
+/// IPC. Candidates must be supplied in [`PD_CANDIDATES`] order, and a
+/// later candidate wins only when it beats the incumbent by more than
+/// 0.2 %, so ties go to the *smallest* PD: protection distance is
 /// hardware state, so on a flat IPC curve — streaming benchmarks are flat
 /// by construction — the cheapest distance is the "optimal" one, matching
 /// Table 3's PD-4 rows for PVR/SD1/STL.
-pub fn sweep_optimal_pd(bench: &dyn Benchmark, l1_kb: Option<u64>) -> (u16, SimStats) {
-    select_optimal_pd(PD_CANDIDATES.iter().map(|&pd| {
-        (
-            pd,
-            run(
-                L1PolicyKind::StaticPdp { pd },
-                bench,
-                l1_kb,
-                Hierarchy::Flat,
-            ),
-        )
-    }))
-}
-
-/// The reduction behind [`sweep_optimal_pd`], exposed so parallel sweeps
-/// can run the candidate grid as independent jobs and reduce afterwards:
-/// candidates must be supplied in [`PD_CANDIDATES`] order, and a later
-/// candidate wins only when it beats the incumbent by more than 0.2 %.
 ///
 /// # Panics
 ///
@@ -1078,15 +1030,10 @@ mod tests {
 
     #[test]
     fn cli_parses_no_fast_forward() {
-        // Via try_parse only: Cli::parse flips the process-wide switch,
-        // which would race with concurrently running simulation tests.
         let cli = Cli::try_parse(["--no-fast-forward"].iter().map(|s| s.to_string())).unwrap();
-        assert!(cli.no_fast_forward);
-        assert!(!cli.no_ldst_batch);
-        let cli = Cli::try_parse(["--no-ldst-batch"].iter().map(|s| s.to_string())).unwrap();
-        assert!(cli.no_ldst_batch);
+        assert!(!cli.run.fast_forward);
         let cli = Cli::try_parse(std::iter::empty()).unwrap();
-        assert!(!cli.no_fast_forward);
+        assert!(cli.run.fast_forward);
     }
 
     #[test]

@@ -84,7 +84,7 @@ usage: sweep_server --dir RUNDIR [--workers N] [--checkpoint-every N]
                     [--status-addr ADDR] [--stale-after-ms N] [--no-logs]
                     [--quick] [--bench NAME[,NAME...]]
                     [--hierarchy SHAPE[,SHAPE...]] [--cluster-ports N[,N...]]
-                    [--no-fast-forward] [--no-ldst-batch]
+                    [--no-fast-forward]
 
   --dir RUNDIR   run directory: manifest, per-point checkpoints and
                  results, and the final merged.tsv live here. Re-running
@@ -319,7 +319,7 @@ impl ServerOpts {
             passthrough.push("--no-logs".into());
         }
         passthrough.extend(args.iter().cloned());
-        if cli.checkpoint.is_some() || cli.resume.is_some() {
+        if cli.run.checkpoint.write.is_some() || cli.run.checkpoint.resume.is_some() {
             return Err(
                 "--checkpoint/--resume do not apply: the sweep server always checkpoints \
                  into RUNDIR/ckpt and always resumes from it"
@@ -329,8 +329,6 @@ impl ServerOpts {
         if cli.telemetry.is_some() {
             return Err("--telemetry is not supported by the sweep server".into());
         }
-        crate::set_fast_forward(!cli.no_fast_forward);
-        crate::set_ldst_batch(!cli.no_ldst_batch);
         Ok(ServerOpts {
             dir: PathBuf::from(dir),
             workers,
@@ -468,6 +466,7 @@ fn run_worker(opts: &ServerOpts, grid: &Grid, shard: usize, workers: usize) -> R
             p.hierarchy,
             p.cluster_ports,
             PolicyPlanes::default(),
+            &opts.cli.run,
         );
         let build = || Gpu::new(cfg.clone());
         let mut gpu = build();

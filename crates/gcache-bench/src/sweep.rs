@@ -13,7 +13,7 @@
 //! Entry points: [`parallel_map`] for arbitrary job types and
 //! [`run_design_points`] for the common benchmark-grid case.
 
-use crate::{run_with_planes, PolicyPlanes};
+use crate::{run_with_planes, PolicyPlanes, RunOpts};
 use gcache_sim::config::{Hierarchy, L1PolicyKind};
 use gcache_sim::stats::SimStats;
 use gcache_workloads::Benchmark;
@@ -53,9 +53,9 @@ impl std::fmt::Debug for DesignPoint<'_> {
     }
 }
 
-/// Runs a grid of design points on `jobs` worker threads, returning stats
-/// in submission order.
-pub fn run_design_points(points: &[DesignPoint<'_>], jobs: usize) -> Vec<SimStats> {
+/// Runs a grid of design points on `jobs` worker threads, each simulated
+/// as `opts` says, returning stats in submission order.
+pub fn run_design_points(points: &[DesignPoint<'_>], jobs: usize, opts: &RunOpts) -> Vec<SimStats> {
     parallel_map(points, jobs, |p| {
         run_with_planes(
             p.policy,
@@ -64,6 +64,7 @@ pub fn run_design_points(points: &[DesignPoint<'_>], jobs: usize) -> Vec<SimStat
             p.hierarchy,
             p.cluster_ports,
             p.planes,
+            opts,
         )
     })
 }

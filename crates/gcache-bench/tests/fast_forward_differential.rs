@@ -6,9 +6,8 @@
 //! replay counters, NoC and DRAM stats are all covered by comparing the
 //! `Debug` renderings field for field.
 //!
-//! `GpuConfig::fast_forward` is set directly on per-run configs (never via
-//! the bench crate's process-wide switch) so this test cannot race with
-//! concurrently running tests in the same process.
+//! `GpuConfig::fast_forward` is set directly on each run's config, so
+//! every point carries its own value.
 
 use gcache_sim::config::{GpuConfig, Hierarchy};
 use gcache_sim::gpu::Gpu;

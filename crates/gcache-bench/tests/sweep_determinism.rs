@@ -3,7 +3,7 @@
 //! to a serial run, for any worker count.
 
 use gcache_bench::sweep::{run_design_points, DesignPoint};
-use gcache_bench::{designs, PolicyPlanes};
+use gcache_bench::{designs, PolicyPlanes, RunOpts};
 use gcache_sim::config::{Hierarchy, L1PolicyKind};
 use gcache_workloads::{by_name, Scale};
 
@@ -46,9 +46,9 @@ fn parallel_sweep_is_byte_identical_to_serial() {
     ];
     let grid = small_grid(&benches, &shapes);
 
-    let serial = run_design_points(&grid, 1);
+    let serial = run_design_points(&grid, 1, &RunOpts::default());
     for jobs in [2, 4, 8] {
-        let parallel = run_design_points(&grid, jobs);
+        let parallel = run_design_points(&grid, jobs, &RunOpts::default());
         assert_eq!(serial.len(), parallel.len(), "jobs={jobs}");
         for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
             assert_eq!(
@@ -89,7 +89,7 @@ fn results_follow_submission_order() {
             planes: PolicyPlanes::default(),
         },
     ];
-    let out = run_design_points(&grid, 4);
+    let out = run_design_points(&grid, 4, &RunOpts::default());
     assert_eq!(out.len(), 2);
     // The 64 KB cache can only do better; identical stats would mean the
     // slots were filled ignoring the submission index.

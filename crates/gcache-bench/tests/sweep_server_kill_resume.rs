@@ -53,6 +53,15 @@ fn run_sweep(dir: &Path, fault: Option<&str>) -> Output {
     cmd.output().expect("spawn sweep_server")
 }
 
+/// Whether any point's result has been published under `dir`.
+fn has_result(dir: &Path) -> bool {
+    std::fs::read_dir(dir.join("results")).is_ok_and(|entries| {
+        entries
+            .flatten()
+            .any(|e| e.path().extension().is_some_and(|x| x == "result"))
+    })
+}
+
 fn assert_ok(out: &Output, ctx: &str) {
     assert!(
         out.status.success(),
@@ -120,10 +129,22 @@ fn interrupted_sweeps_merge_byte_identical() {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn coordinator");
-    std::thread::sleep(std::time::Duration::from_millis(700));
+    // Kill on observed progress, not after a fixed delay: once the first
+    // result is published and the merge has not happened yet, the sweep
+    // is provably mid-flight however fast the host is.
+    while !has_result(&dir_c) || dir_c.join("merged.tsv").exists() {
+        if let Some(status) = child.try_wait().expect("poll coordinator") {
+            panic!("coordinator exited ({status}) before it could be killed mid-sweep");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     child.kill().expect("SIGKILL coordinator");
     let status = child.wait().expect("reap coordinator");
     assert!(!status.success(), "coordinator survived SIGKILL");
+    assert!(
+        !dir_c.join("merged.tsv").exists(),
+        "the kill landed after the merge, not mid-sweep"
+    );
     let out = run_sweep(&dir_c, None);
     assert_ok(&out, "post-coordinator-kill re-run");
     assert_eq!(

@@ -2,7 +2,7 @@
 //! single simulated statistic, under any policy or hierarchy shape. Also
 //! checks that the exported CSV schema round-trips losslessly.
 
-use gcache_bench::{run, run_sampled, telemetry_csv, TelemetrySeries};
+use gcache_bench::{run, run_sampled, telemetry_csv, RunOpts, TelemetrySeries};
 use gcache_core::policy::gcache::GCacheConfig;
 use gcache_sim::config::{Hierarchy, L1PolicyKind};
 use gcache_sim::telemetry::Sample;
@@ -27,8 +27,9 @@ fn telemetry_off_identical() {
         ),
     ];
     for (policy, hierarchy) in points {
-        let plain = run(policy, bench.as_ref(), None, hierarchy);
-        let (sampled, sampler) = run_sampled(policy, bench.as_ref(), None, hierarchy);
+        let plain = run(policy, bench.as_ref(), None, hierarchy, &RunOpts::default());
+        let (sampled, sampler) =
+            run_sampled(policy, bench.as_ref(), None, hierarchy, &RunOpts::default());
         assert_eq!(
             format!("{plain:?}"),
             format!("{sampled:?}"),
@@ -49,6 +50,7 @@ fn csv_schema_round_trips() {
         bench.as_ref(),
         None,
         Hierarchy::Flat,
+        &RunOpts::default(),
     );
 
     // Every row parses back to the exact sample that produced it (floats

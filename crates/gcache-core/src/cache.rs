@@ -429,8 +429,9 @@ impl Cache {
         kind: AccessKind,
         core: CoreId,
     ) -> Lookup {
-        debug_assert_eq!(set, self.cfg.geometry.set_of(line));
-        debug_assert_eq!(tag, self.cfg.geometry.tag_of(line));
+        // Every access path ends here: check the caller's (set, tag) decode.
+        debug_assert_eq!(set, self.cfg.geometry.set_of(line), "mis-decoded set");
+        debug_assert_eq!(tag, self.cfg.geometry.tag_of(line), "mis-decoded tag");
         debug_assert_eq!(way, self.tags.probe_set(set, tag), "stale probe result");
         self.tick_epoch();
         self.policy.on_set_access(set);

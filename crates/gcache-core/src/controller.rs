@@ -443,6 +443,16 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "mis-decoded set")]
+    fn mis_decoded_access_is_caught_in_debug() {
+        let mut c = l1_style();
+        let line = LineAddr::new(0x41); // set 1 of 4
+        let tag = geom().tag_of(line);
+        c.access_decoded(line, 2, tag, AccessKind::Read, C0, 0);
+    }
+
+    #[test]
     fn write_through_stores_forward_without_allocating() {
         let mut c = l1_style();
         let line = LineAddr::new(0x20);

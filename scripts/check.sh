@@ -41,14 +41,6 @@ diff crates/gcache-bench/tests/golden/fig8_fig9_quick.txt \
      <(./target/release/fig8_fig9 --quick --bench BFS,CFD,STL --no-fast-forward 2>/dev/null) \
   || { echo "fast-forward divergence: fig8_fig9"; exit 1; }
 
-echo "==> ldst-batch A/B bit-identity (release, --no-ldst-batch vs golden)"
-# The batched coalesce->access pipeline (precomputed set/tag decode) must
-# be a pure host-side optimization: routing every access through the
-# plain decode-on-entry path reproduces the same bytes.
-diff crates/gcache-bench/tests/golden/fig8_fig9_quick.txt \
-     <(./target/release/fig8_fig9 --quick --bench BFS,CFD,STL --no-ldst-batch 2>/dev/null) \
-  || { echo "ldst-batch divergence: fig8_fig9"; exit 1; }
-
 echo "==> L1 access-path microbench (packed tag probe + per-policy access loop)"
 # Smoke-gates the l1 bench target: the probe line plus one access-loop
 # line per policy must appear (5 policies).

@@ -32,13 +32,25 @@ diff "$tmp/clean.tsv" "$tmp/wkill.tsv" \
   || { echo "worker kill changed the merged bytes"; exit 1; }
 
 echo "==> coordinator SIGKILLed mid-sweep, same command re-run"
-# One subshell so bash's "Killed" job notification stays out of the log.
+# The kill fires on observed progress, not after a fixed delay: once the
+# first result is published and the merge has not happened yet, the sweep
+# is provably mid-flight however fast the host is. The smoke fails if the
+# coordinator exits first. One subshell so bash's "Killed" job
+# notification stays out of the log.
 (
   "$BIN" --dir "$tmp/ckill" "${FLAGS[@]}" >/dev/null 2>&1 & pid=$!
-  sleep 0.25
-  kill -9 "$pid" 2>/dev/null || true
-  wait "$pid" 2>/dev/null || true
-) 2>/dev/null
+  until compgen -G "$tmp/ckill/results/*.result" >/dev/null \
+      && [ ! -e "$tmp/ckill/merged.tsv" ]; do
+    kill -0 "$pid" 2>/dev/null || exit 1
+    sleep 0.001
+  done
+  kill -9 "$pid" 2>/dev/null || exit 1
+  wait "$pid" 2>/dev/null
+  [ $? -eq 137 ]
+) 2>/dev/null \
+  || { echo "coordinator exited before it could be killed mid-sweep"; exit 1; }
+[ ! -e "$tmp/ckill/merged.tsv" ] \
+  || { echo "the kill landed after the merge, not mid-sweep"; exit 1; }
 "$BIN" --dir "$tmp/ckill" "${FLAGS[@]}" > "$tmp/ckill.tsv" 2>/dev/null
 diff "$tmp/clean.tsv" "$tmp/ckill.tsv" \
   || { echo "coordinator kill changed the merged bytes"; exit 1; }
