@@ -71,6 +71,43 @@ fn run_resumed(bench: &dyn Benchmark, cfg: &GpuConfig, snapshot: &[u8]) -> (SimS
     (stats, gpu.take_sampler().unwrap().to_csv())
 }
 
+/// Runs `bench` on `cfg` straight, hooked and resumed from a mid-run
+/// checkpoint, asserts all three agree, and returns the straight stats.
+fn assert_resume_identical(bench: &dyn Benchmark, cfg: &GpuConfig, ctx: &str) -> SimStats {
+    let (straight, straight_csv) = run_straight(bench, cfg);
+    let (hooked, hooked_csv, ckpts) = run_checkpointed(bench, cfg);
+    assert_eq!(
+        format!("{straight:?}"),
+        format!("{hooked:?}"),
+        "{ctx}: checkpoint hooks perturbed the simulation"
+    );
+    assert_eq!(
+        straight_csv, hooked_csv,
+        "{ctx}: checkpoint hooks perturbed the telemetry"
+    );
+    assert!(
+        ckpts.len() >= 2,
+        "{ctx}: run too short to test mid-run resume ({} checkpoints)",
+        ckpts.len()
+    );
+
+    // Resume from a mid-run snapshot, not the last one, so a substantial
+    // tail is re-simulated from restored state.
+    let (cycle, snapshot) = &ckpts[ckpts.len() / 2];
+    assert_eq!(cycle % EVERY, 0, "{ctx}: checkpoint off-grid");
+    let (resumed, resumed_csv) = run_resumed(bench, cfg, snapshot);
+    assert_eq!(
+        format!("{straight:?}"),
+        format!("{resumed:?}"),
+        "{ctx}: resume from cycle {cycle} diverged"
+    );
+    assert_eq!(
+        straight_csv, resumed_csv,
+        "{ctx}: resume from cycle {cycle} diverged in telemetry"
+    );
+    straight
+}
+
 #[test]
 fn resumed_run_is_bit_identical() {
     // BFS (cache-sensitive, exercises G-Cache's adaptive state), STL
@@ -112,42 +149,35 @@ fn resumed_run_is_bit_identical() {
                         bench.info().name,
                         policy.design_name(),
                     );
-
-                    let (straight, straight_csv) = run_straight(bench.as_ref(), &cfg);
-                    let (hooked, hooked_csv, ckpts) = run_checkpointed(bench.as_ref(), &cfg);
-                    assert_eq!(
-                        format!("{straight:?}"),
-                        format!("{hooked:?}"),
-                        "{ctx}: checkpoint hooks perturbed the simulation"
-                    );
-                    assert_eq!(
-                        straight_csv, hooked_csv,
-                        "{ctx}: checkpoint hooks perturbed the telemetry"
-                    );
-                    assert!(
-                        ckpts.len() >= 2,
-                        "{ctx}: run too short to test mid-run resume ({} checkpoints)",
-                        ckpts.len()
-                    );
-
-                    // Resume from a mid-run snapshot, not the last one, so
-                    // a substantial tail is re-simulated from restored
-                    // state.
-                    let (cycle, snapshot) = &ckpts[ckpts.len() / 2];
-                    assert_eq!(cycle % EVERY, 0, "{ctx}: checkpoint off-grid");
-                    let (resumed, resumed_csv) = run_resumed(bench.as_ref(), &cfg, snapshot);
-                    assert_eq!(
-                        format!("{straight:?}"),
-                        format!("{resumed:?}"),
-                        "{ctx}: resume from cycle {cycle} diverged"
-                    );
-                    assert_eq!(
-                        straight_csv, resumed_csv,
-                        "{ctx}: resume from cycle {cycle} diverged in telemetry"
-                    );
+                    assert_resume_identical(bench.as_ref(), &cfg, &ctx);
                 }
             }
         }
+    }
+}
+
+/// PVR keeps the memory partitions stalled on full DRAM queues and MSHR
+/// files for most of its run, so its mid-run checkpoint lands while
+/// event-gated partitions are parked with stall cycles not yet charged.
+#[test]
+fn resume_while_partitions_parked_is_bit_identical() {
+    let bench = gcache_workloads::registry(Scale::Test)
+        .into_iter()
+        .find(|b| b.info().name == "PVR")
+        .expect("PVR registered");
+    let policy = gcache_bench::designs(6)
+        .into_iter()
+        .find(|p| p.design_name() == "GC")
+        .expect("GC design");
+    for fast_forward in [true, false] {
+        let mut cfg = GpuConfig::fermi_with_policy(policy).expect("valid config");
+        cfg.fast_forward = fast_forward;
+        let ctx = format!("PVR / GC / ff={fast_forward}");
+        let stats = assert_resume_identical(bench.as_ref(), &cfg, &ctx);
+        assert!(
+            stats.partition.stall_cycles > 0,
+            "{ctx}: vacuous check, no partition ever stalled"
+        );
     }
 }
 

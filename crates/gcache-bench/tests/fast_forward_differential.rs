@@ -9,6 +9,7 @@
 //! `GpuConfig::fast_forward` is set directly on each run's config, so
 //! every point carries its own value.
 
+use gcache_bench::PolicyPlanes;
 use gcache_sim::config::{GpuConfig, Hierarchy};
 use gcache_sim::gpu::Gpu;
 use gcache_sim::stats::SimStats;
@@ -73,4 +74,32 @@ fn fast_forward_stats_match_plain_loop() {
             }
         }
     }
+}
+
+/// Clean copy-backs reach the L2 as their own request kind, whose stall
+/// branch parks a partition on a full DRAM queue. CFD under G-Cache with
+/// RDC-style copy-back produces both, so this point covers that branch of
+/// the event-driven partition — and asserts it is not vacuous.
+#[test]
+fn fast_forward_matches_with_clean_copy_back() {
+    let bench = gcache_workloads::registry(Scale::Test)
+        .into_iter()
+        .find(|b| b.info().name == "CFD")
+        .expect("CFD registered");
+    let policy = gcache_bench::designs(6)
+        .into_iter()
+        .find(|p| p.design_name() == "GC")
+        .expect("GC design");
+    let cfg = GpuConfig::fermi_with_policy(policy)
+        .expect("valid config")
+        .with_l1_copy_back(PolicyPlanes::clean_copy_back(2).l1_copy_back);
+    let fast = simulate(bench.as_ref(), &cfg, true);
+    let slow = simulate(bench.as_ref(), &cfg, false);
+    assert!(fast.l1.clean_copy_backs > 0, "no clean copy-back issued");
+    assert!(fast.partition.stall_cycles > 0, "no partition ever stalled");
+    assert_eq!(
+        format!("{fast:?}"),
+        format!("{slow:?}"),
+        "CFD / GC+CB: fast-forward changed the statistics"
+    );
 }

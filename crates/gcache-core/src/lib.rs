@@ -47,6 +47,7 @@
 //! | [`addr`], [`geometry`], [`line`](mod@line) | addresses, cache shapes, line state |
 //! | [`tag_array`] | the set-associative tag store |
 //! | [`mshr`] | miss-status holding registers with merging |
+//! | [`hash`] | the deterministic line-address hasher behind the MSHR map |
 //! | [`policy`] | LRU, SRRIP/BRRIP, G-Cache, static & dynamic PDP |
 //! | [`victim_bits`] | the L2 tag extension of §4.1 |
 //! | [`cache`] | the assembled cache (lookup / fill / flush) |
@@ -66,6 +67,7 @@ pub mod addr;
 pub mod cache;
 pub mod controller;
 pub mod geometry;
+pub mod hash;
 pub mod json;
 pub mod line;
 pub mod mshr;

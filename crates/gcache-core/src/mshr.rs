@@ -6,8 +6,8 @@
 //! entry. When the fill returns, all merged targets are released at once.
 
 use crate::addr::LineAddr;
+use crate::hash::LineMap;
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotPayload, SnapshotReader, SnapshotWriter};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Why an MSHR allocation failed. The requester must stall and retry.
@@ -61,7 +61,7 @@ pub enum MshrAlloc {
 pub struct MshrFile<T> {
     capacity: usize,
     max_merge: usize,
-    entries: HashMap<LineAddr, Vec<T>>,
+    entries: LineMap<Vec<T>>,
     /// Recycled target vectors (empty, with their capacity retained), so
     /// the steady-state miss path allocates nothing: a primary miss pops a
     /// pooled vector and a completed fill returns it via
@@ -84,7 +84,7 @@ impl<T> MshrFile<T> {
         MshrFile {
             capacity,
             max_merge,
-            entries: HashMap::with_capacity(capacity),
+            entries: LineMap::with_capacity_and_hasher(capacity, Default::default()),
             free: Vec::with_capacity(capacity),
             peak_occupancy: 0,
             merges: 0,

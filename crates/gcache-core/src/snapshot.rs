@@ -31,7 +31,7 @@ use std::fmt;
 /// File magic: identifies a G-Cache snapshot.
 pub const MAGIC: [u8; 8] = *b"GCSNAPSH";
 /// Format version; bump on any layout change.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

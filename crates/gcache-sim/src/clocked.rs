@@ -17,7 +17,10 @@
 //! external input arrives in between. The driver jumps the global clock
 //! to the minimum bound across components instead of ticking cycle by
 //! cycle, and calls `skip` so per-cycle stall accounting is replayed in
-//! bulk. Undershooting a bound merely costs no-op ticks; *overshooting
+//! bulk. A component may instead replay such accounting itself on its
+//! next tick, from the cycle numbers alone (a parked memory partition's
+//! stall cycles); ticks whose only effect is that accounting do not count
+//! as events. Undershooting a bound merely costs no-op ticks; *overshooting
 //! would change simulated results*, so when in doubt an implementation
 //! must return `Some(now + 1)` (the default), which simply disables
 //! fast-forward for that component.

@@ -133,8 +133,12 @@ pub struct Dram<T> {
     /// so the elision is exact). Off by default so the plain loop stays
     /// the reference implementation.
     event_gated: bool,
-    /// Cached scan wake-up cycle; 0 forces a scan (reset on enqueue).
-    wake: u64,
+    /// The state-only part of the [`Dram::next_event`] bound: the minimum
+    /// over queued requests of [`Dram::path_ready`] (`u64::MAX` when the
+    /// queue is empty). Bank and bus state change only on a CAS commit,
+    /// so an enqueue folds in the new request in O(1) and only a commit
+    /// (or a restore) rescans the queue. See [`Dram::bound_consistent`].
+    bound: u64,
     stats: DramStats,
     /// Optional structured-event sink; when absent (the default) the
     /// scheduler's only extra work is this discriminant test.
@@ -175,7 +179,7 @@ impl<T> Dram<T> {
             bus_busy_until: 0,
             last_activate_any: 0,
             event_gated: false,
-            wake: 0,
+            bound: u64::MAX,
             stats: DramStats::default(),
             trace: None,
         }
@@ -196,7 +200,6 @@ impl<T> Dram<T> {
     /// Enables or disables the internal scan elision (see `event_gated`).
     pub fn set_event_gating(&mut self, on: bool) {
         self.event_gated = on;
-        self.wake = 0;
     }
 
     /// The statistics so far.
@@ -238,6 +241,7 @@ impl<T> Dram<T> {
             return Err(DramQueueFull);
         }
         let (bank, row) = self.map(line);
+        self.bound = self.bound.min(self.path_ready(bank, row));
         self.queue.push(Pending {
             bank,
             row,
@@ -245,7 +249,6 @@ impl<T> Dram<T> {
             token,
             arrived: now,
         });
-        self.wake = 0;
         Ok(())
     }
 
@@ -269,74 +272,80 @@ impl<T> Dram<T> {
         self.completions.iter().map(|c| c.ready_at).min()
     }
 
+    /// The earliest cycle the scheduler can pick a request to `row` of
+    /// `bank`: the cycle its bank-state path (row hit / closed / conflict)
+    /// satisfies every timing constraint the scheduler checks, including
+    /// data-bus availability. Depends only on bank and bus state, never
+    /// on the current cycle.
+    fn path_ready(&self, bank: usize, row: u64) -> u64 {
+        let t = self.timing;
+        let b = &self.banks[bank];
+        match b.open_row {
+            // Row hit: CAS at `t0`, data at `t0 + tCL` must clear the bus.
+            Some(open) if open == row => b
+                .ready_at
+                .max(self.bus_busy_until.saturating_sub(t.t_cl as u64)),
+            // Conflict: precharge gated by tRAS/tRC/tRRD; CAS lands at
+            // `t0 + tRP + tRCD`.
+            Some(_) => b
+                .ready_at
+                .max(b.activated_at + t.t_ras as u64)
+                .max((b.activated_at + t.t_rc as u64).saturating_sub(t.t_rp as u64))
+                .max((self.last_activate_any + t.t_rrd as u64).saturating_sub(t.t_rp as u64))
+                .max(
+                    self.bus_busy_until
+                        .saturating_sub((t.t_cl + t.t_rp + t.t_rcd) as u64),
+                ),
+            // Closed bank: activate gated by tRRD; CAS lands at `t0 + tRCD`.
+            None => b.ready_at.max(self.last_activate_any + t.t_rrd as u64).max(
+                self.bus_busy_until
+                    .saturating_sub((t.t_cl + t.t_rcd) as u64),
+            ),
+        }
+    }
+
+    /// The bound over the whole queue, recomputed from scratch.
+    fn recompute_bound(&self) -> u64 {
+        self.queue
+            .iter()
+            .map(|p| self.path_ready(p.bank, p.row))
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Whether the maintained scheduling bound equals its full
+    /// recomputation over the queue (a run-time check of the maintained
+    /// state; tests assert it after every tick).
+    pub fn bound_consistent(&self) -> bool {
+        self.bound == self.recompute_bound()
+    }
+
     /// A lower bound on the next cycle [`Dram::tick`] can commit a CAS:
-    /// the minimum over pending requests of the earliest cycle their
-    /// bank-state path (row hit / closed / conflict) satisfies every
-    /// timing constraint the scheduler checks, including data-bus
-    /// availability. Bank state cannot change on event-free cycles (the
-    /// reject paths of `tick` mutate nothing), so per-request paths are
-    /// stable across the gap; cross-request arbitration is ignored — it
-    /// can only push the real commit later, never earlier.
+    /// the earliest cycle any pending request's bank-state path (row hit /
+    /// closed / conflict) satisfies every timing constraint, read off the
+    /// maintained bound in O(1). Bank state cannot change on event-free
+    /// cycles (the reject paths of `tick` mutate nothing), so per-request
+    /// paths are stable across the gap; cross-request arbitration is
+    /// ignored — it can only push the real commit later, never earlier.
     pub fn next_event(&self, now: u64) -> Option<u64> {
         if self.queue.is_empty() {
-            return None;
+            None
+        } else {
+            Some(self.bound.max(now + 1))
         }
-        let t = self.timing;
-        let mut ev: Option<u64> = None;
-        for p in &self.queue {
-            let (row, b) = (p.row, &self.banks[p.bank]);
-            let ready = match b.open_row {
-                // Row hit: CAS at `t0`, data at `t0 + tCL` must clear the bus.
-                Some(open) if open == row => b
-                    .ready_at
-                    .max(self.bus_busy_until.saturating_sub(t.t_cl as u64)),
-                // Conflict: precharge gated by tRAS/tRC/tRRD; CAS lands at
-                // `t0 + tRP + tRCD`.
-                Some(_) => b
-                    .ready_at
-                    .max(b.activated_at + t.t_ras as u64)
-                    .max((b.activated_at + t.t_rc as u64).saturating_sub(t.t_rp as u64))
-                    .max((self.last_activate_any + t.t_rrd as u64).saturating_sub(t.t_rp as u64))
-                    .max(
-                        self.bus_busy_until
-                            .saturating_sub((t.t_cl + t.t_rp + t.t_rcd) as u64),
-                    ),
-                // Closed bank: activate gated by tRRD; CAS lands at `t0 + tRCD`.
-                None => b.ready_at.max(self.last_activate_any + t.t_rrd as u64).max(
-                    self.bus_busy_until
-                        .saturating_sub((t.t_cl + t.t_rcd) as u64),
-                ),
-            }
-            .max(now + 1);
-            if ready == now + 1 {
-                return Some(ready);
-            }
-            ev = Some(ev.map_or(ready, |e| e.min(ready)));
-        }
-        ev
     }
 
     /// Advances the controller by one cycle: issues at most one CAS (FR:
     /// oldest row hit first; FCFS otherwise).
     pub fn tick(&mut self, now: u64) {
-        if self.queue.is_empty() {
+        // A commit at cycle `c` requires the chosen request's whole timing
+        // path to be feasible at `c`, so `c` is at least the maintained
+        // bound; every earlier tick is a pure no-op (the reject paths of
+        // the scan mutate nothing) and may be elided.
+        if self.queue.is_empty() || (self.event_gated && now < self.bound) {
             return;
         }
-        // A commit at cycle `c` requires the chosen request's whole timing
-        // path to be feasible at `c`, so `c` is at least the
-        // [`Dram::next_event`] bound; every earlier tick is a pure no-op
-        // (the reject paths below mutate nothing) and may be elided.
-        if self.event_gated {
-            if now < self.wake {
-                return;
-            }
-            self.tick_scan(now);
-            // Recompute from post-pass state: a commit already updated the
-            // bank/bus bookkeeping, so the bound stays exact either way.
-            self.wake = self.next_event(now).unwrap_or(u64::MAX);
-        } else {
-            self.tick_scan(now);
-        }
+        self.tick_scan(now);
     }
 
     /// One FR-FCFS scheduling pass (the body of [`Dram::tick`]).
@@ -434,6 +443,8 @@ impl<T> Dram<T> {
             ready_at: done_at,
             write: p.write,
         });
+        // The commit moved bank and bus state: every queued path shifts.
+        self.bound = self.recompute_bound();
     }
 }
 
@@ -441,8 +452,8 @@ impl<T: SnapshotPayload> Snapshot for Dram<T> {
     /// Saves the banks, the pending queue (whose `Vec` order *is* the
     /// FCFS order, so it is authoritative), buffered completions, the
     /// bus/activation windows and statistics. The trace sink is an
-    /// observation channel and is never serialized; the `wake` cache is
-    /// re-derived on the first gated tick.
+    /// observation channel and is never serialized; the scheduling bound
+    /// is derived state, recomputed on restore.
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("dram", |w| {
             w.usize(self.banks.len());
@@ -541,7 +552,7 @@ impl<T: SnapshotPayload> Snapshot for Dram<T> {
             }
             self.bus_busy_until = r.u64()?;
             self.last_activate_any = r.u64()?;
-            self.wake = 0;
+            self.bound = self.recompute_bound();
             self.stats.reads = r.u64()?;
             self.stats.writes = r.u64()?;
             self.stats.row_hits = r.u64()?;

@@ -365,8 +365,10 @@ impl Gpu {
                 let target = ev.unwrap_or(cap).min(cap).max(prev + 1);
                 let gap = target - prev - 1;
                 if gap > 0 {
-                    // Only the cores account per cycle; everything else is
-                    // a pure no-op across the gap.
+                    // Only the cores account per cycle here; parked
+                    // partitions charge their skipped stall ticks on their
+                    // next tick, and everything else is a pure no-op
+                    // across the gap.
                     self.cores.skip(prev, gap, &self.icnt);
                     self.cycle = target - 1;
                 }

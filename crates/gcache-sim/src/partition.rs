@@ -118,6 +118,21 @@ impl SnapshotPayload for DramToken {
     }
 }
 
+/// Why an event-gated partition's head-of-line request is parked: the
+/// resource its stall in [`Partition::serve_one`]'s pre-check waits for.
+/// Nothing the parked head could change (its line's tag or MSHR entry)
+/// moves while it waits — only it would allocate them — so the stall
+/// persists exactly as long as the named resource stays exhausted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Park {
+    /// Not parked: queued input pins the next L2 tick.
+    No,
+    /// A clean copy-back waits for a DRAM queue slot.
+    DramQueue,
+    /// A primary miss waits for a DRAM queue slot and a free MSHR entry.
+    DramQueueAndMshr,
+}
+
 /// Partition-level counters beyond the embedded cache/DRAM stats.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PartitionStats {
@@ -145,6 +160,18 @@ pub struct Partition {
     l2_latency: u64,
     atomic_latency: u64,
     aou_busy_until: u64,
+    /// When set (with fast-forward), a head-of-line stall parks the
+    /// partition instead of pinning every L2 tick; see [`Park`]. Off, the
+    /// partition re-runs the stalled head on every L2 tick, the plain
+    /// reference behaviour.
+    event_gated: bool,
+    park: Park,
+    /// The last cycle [`Partition::tick`] ran. L2 ticks skipped while
+    /// parked are charged to `stall_cycles` on the next tick.
+    last_tick: u64,
+    /// L2 ticks elided while parked and charged lazily (self-profiling;
+    /// not simulation state, so not serialized).
+    parked_l2_ticks: u64,
     stats: PartitionStats,
 }
 
@@ -184,6 +211,10 @@ impl Partition {
             l2_latency: cfg.l2_latency,
             atomic_latency: cfg.atomic_latency,
             aou_busy_until: 0,
+            event_gated: cfg.fast_forward,
+            park: Park::No,
+            last_tick: 0,
+            parked_l2_ticks: 0,
             stats: PartitionStats::default(),
         }
     }
@@ -259,10 +290,33 @@ impl Partition {
             && self.dram.is_idle()
     }
 
+    /// The head-of-line request, if it stalled on a full DRAM queue or
+    /// L2 MSHR file that is still full — parked, so the partition sleeps
+    /// until a DRAM commit or fill instead of retrying every L2 tick.
+    pub fn parked_head(&self) -> Option<&MemRequest> {
+        self.is_parked().then(|| self.incoming.front()).flatten()
+    }
+
+    /// L2 ticks this partition elided while parked, each charged to
+    /// `stall_cycles` on a later tick (self-profiling; 0 without
+    /// fast-forward, and restarted from 0 by a snapshot restore).
+    pub const fn parked_l2_ticks(&self) -> u64 {
+        self.parked_l2_ticks
+    }
+
+    fn is_parked(&self) -> bool {
+        match self.park {
+            Park::No => false,
+            Park::DramQueue => !self.dram.can_accept(),
+            Park::DramQueueAndMshr => !self.dram.can_accept() || self.l2.mshr_full(),
+        }
+    }
+
     /// A lower bound on the partition's next state-changing cycle
     /// (`None` = fully drained). Queued incoming work pins the bound to
-    /// the next L2 tick — a stalled head-of-line request mutates stall
-    /// statistics there, so those cycles must be ticked, never skipped.
+    /// the next L2 tick, unless the head is parked: its resource frees
+    /// only on a DRAM commit or fill, both bounded below, and the stalls
+    /// of the L2 ticks in between are charged lazily on the next tick.
     /// Everything else derives from response readiness and DRAM timing;
     /// a buffered DRAM completion is applied at the first L2 tick at or
     /// after its data-ready cycle.
@@ -273,7 +327,7 @@ impl Partition {
         if let Some(&(_, ready)) = self.outgoing.front() {
             fold(ready.max(now + 1));
         }
-        if !self.incoming.is_empty() {
+        if !self.incoming.is_empty() && !self.is_parked() {
             fold(next_l2_tick);
         }
         if let Some(ready) = self.dram.next_completion() {
@@ -287,6 +341,14 @@ impl Partition {
 
     /// Advances the partition by one core cycle.
     pub fn tick(&mut self, now: u64) {
+        if self.park != Park::No {
+            // Each L2 tick skipped since the last tick would have re-run
+            // the parked head and stalled.
+            let skipped = (now - 1) / self.l2_period - self.last_tick / self.l2_period;
+            self.stats.stall_cycles += skipped;
+            self.parked_l2_ticks += skipped;
+        }
+        self.last_tick = now;
         self.dram.tick(now);
         if now.is_multiple_of(self.l2_period) {
             self.drain_dram(now);
@@ -390,6 +452,7 @@ impl Partition {
     /// head-of-line request does not re-access the L2 every tick (which
     /// would corrupt statistics and policy ageing).
     fn serve_one(&mut self, now: u64) {
+        self.park = Park::No;
         let Some(&req) = self.incoming.front() else {
             return;
         };
@@ -406,6 +469,7 @@ impl Partition {
                 // a DRAM write-back slot.
                 if !self.dram.can_accept() {
                     self.stats.stall_cycles += 1;
+                    self.park_if_gated(Park::DramQueue);
                     return;
                 }
                 let outcome = self
@@ -431,6 +495,7 @@ impl Partition {
             && (!self.dram.can_accept() || self.l2.mshr_full())
         {
             self.stats.stall_cycles += 1;
+            self.park_if_gated(Park::DramQueueAndMshr);
             return;
         }
 
@@ -496,6 +561,12 @@ impl Partition {
         self.incoming.pop_front();
     }
 
+    fn park_if_gated(&mut self, park: Park) {
+        if self.event_gated {
+            self.park = park;
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn queue_response(
         &mut self,
@@ -533,9 +604,10 @@ impl Partition {
 }
 
 impl Snapshot for Partition {
-    /// Saves the L2 controller, DRAM channel, traffic queues, AOU window
-    /// and partition counters. `id`/`partitions`/latencies are
-    /// construction-time configuration.
+    /// Saves the L2 controller, DRAM channel, traffic queues, AOU window,
+    /// park state with the last tick (the L2 ticks not yet charged to
+    /// `stall_cycles`) and partition counters. `id`/`partitions`/latencies
+    /// are construction-time configuration.
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("part", |w| {
             self.l2.save(w);
@@ -550,6 +622,12 @@ impl Snapshot for Partition {
                 w.u64(*ready);
             }
             w.u64(self.aou_busy_until);
+            w.u8(match self.park {
+                Park::No => 0,
+                Park::DramQueue => 1,
+                Park::DramQueueAndMshr => 2,
+            });
+            w.u64(self.last_tick);
             w.u64(self.stats.atomics);
             w.u64(self.stats.stall_cycles);
         });
@@ -572,6 +650,18 @@ impl Snapshot for Partition {
                 self.outgoing.push_back((resp, ready));
             }
             self.aou_busy_until = r.u64()?;
+            self.park = match r.u8()? {
+                0 => Park::No,
+                1 => Park::DramQueue,
+                2 => Park::DramQueueAndMshr,
+                v => {
+                    return Err(SnapshotError::BadValue {
+                        what: "partition park state".to_string(),
+                        value: v as u64,
+                    })
+                }
+            };
+            self.last_tick = r.u64()?;
             self.stats.atomics = r.u64()?;
             self.stats.stall_cycles = r.u64()?;
             Ok(())

@@ -914,7 +914,9 @@ pub struct MemorySystem {
     /// Per-partition event gating, mirroring [`CoreComplex`]: a partition
     /// whose cached wake-up cycle lies ahead (and that received no request
     /// this cycle) is skipped outright — its event-free tick is a pure
-    /// no-op, so unlike cores there is no accounting to replay.
+    /// no-op, except for a parked head's stall, which the partition
+    /// charges itself on its next tick, so there is no accounting to
+    /// replay here.
     ff: bool,
     wake: Vec<u64>,
     /// Partition ticks elided by the wake cache (self-profiling counter).
@@ -961,7 +963,7 @@ impl MemorySystem {
 
 impl Snapshot for MemorySystem {
     /// Saves every partition. The wake cache is not serialized; restore
-    /// parks every partition at "tick next cycle" (state-identical, see
+    /// resets every partition to "tick next cycle" (state-identical, see
     /// [`CoreComplex::save_snapshot`]).
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("mem_system", |w| {

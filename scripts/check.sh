@@ -36,10 +36,17 @@ diff crates/gcache-bench/tests/golden/mlsweep_quick.txt \
 
 echo "==> fast-forward differential (release, --no-fast-forward vs golden)"
 # Ticking every cycle must reproduce the same bytes the fast-forwarding
-# golden was captured with.
-diff crates/gcache-bench/tests/golden/fig8_fig9_quick.txt \
-     <(./target/release/fig8_fig9 --quick --bench BFS,CFD,STL --no-fast-forward 2>/dev/null) \
-  || { echo "fast-forward divergence: fig8_fig9"; exit 1; }
+# goldens were captured with. hierarchy covers the clustered L1.5 shapes;
+# mlsweep covers clean copy-backs, which park memory partitions on their
+# own stall branch.
+for exp in fig8_fig9 hierarchy; do
+  diff "crates/gcache-bench/tests/golden/${exp}_quick.txt" \
+       <(./target/release/"$exp" --quick --bench BFS,CFD,STL --no-fast-forward 2>/dev/null) \
+    || { echo "fast-forward divergence: $exp"; exit 1; }
+done
+diff crates/gcache-bench/tests/golden/mlsweep_quick.txt \
+     <(./target/release/mlsweep --quick --no-fast-forward 2>/dev/null) \
+  || { echo "fast-forward divergence: mlsweep"; exit 1; }
 
 echo "==> L1 access-path microbench (packed tag probe + per-policy access loop)"
 # Smoke-gates the l1 bench target: the probe line plus one access-loop
