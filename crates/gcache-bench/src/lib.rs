@@ -24,7 +24,6 @@
 
 pub mod microbench;
 pub mod obs;
-pub mod regress;
 pub mod server;
 pub mod sweep;
 
@@ -105,8 +104,7 @@ pub const USAGE: &str = "\
 usage: <experiment> [--quick] [--bench NAME[,NAME...]] [--jobs N]
                     [--hierarchy SHAPE[,SHAPE...]] [--cluster-ports N[,N...]]
                     [--no-fast-forward] [--telemetry PATH] [--trace-out PATH]
-                    [--profile] [--checkpoint PATH] [--checkpoint-every N]
-                    [--resume PATH]
+                    [--checkpoint PATH] [--checkpoint-every N] [--resume PATH]
 
   --quick        use shrunk workloads (smoke-test scale)
   --bench NAMES  restrict to these benchmarks (paper abbreviations)
@@ -141,9 +139,6 @@ usage: <experiment> [--quick] [--bench NAME[,NAME...]] [--jobs N]
                  instance gets its own track, and G-Cache switch flips
                  appear as instant events. The experiment's own stdout
                  stays byte-identical
-  --profile      time the simulator itself (per-component wall clock,
-                 fast-forward effectiveness); reported by sweep_bench
-                 and recorded into BENCH_sweep.json
   --checkpoint PATH
                  periodically snapshot each in-flight simulation to
                  PATH.<point-hash>.ckpt (atomic write; file removed when
@@ -180,8 +175,6 @@ pub struct Cli {
     pub telemetry: Option<String>,
     /// Write a Chrome `trace_event` timeline here (`--trace-out`).
     pub trace_out: Option<String>,
-    /// Self-profile the simulator (`--profile`).
-    pub profile: bool,
 }
 
 /// Validates at parse time that `path`'s parent directory exists, so a
@@ -296,7 +289,6 @@ impl Cli {
                     ensure_parent_dir("--trace-out", &path)?;
                     cli.trace_out = Some(path);
                 }
-                "--profile" => cli.profile = true,
                 "--checkpoint" => {
                     let path = args.next().ok_or("--checkpoint requires a value")?;
                     ensure_parent_dir("--checkpoint", &path)?;

@@ -136,7 +136,7 @@ pub struct Grid {
 
 impl Grid {
     /// Builds the grid: every selected benchmark × the six Figure 8
-    /// designs (SPDP-B pinned at PD 8, as in `sweep_bench`) × every
+    /// designs (SPDP-B pinned at PD 8) × every
     /// hierarchy shape (default: flat) × the crossbar-port axis on
     /// clustered shapes (default: 1 port).
     pub fn from_cli(cli: &Cli) -> Grid {

@@ -8,8 +8,17 @@
 //!
 //! `GpuConfig::fast_forward` is set directly on each run's config, so
 //! every point carries its own value.
+//!
+//! The full smoke grid (every registered benchmark × the six Figure 8
+//! designs) takes a few seconds in release but minutes in debug, so that
+//! check is `#[ignore]`d here and run in release by `scripts/check.sh`:
+//!
+//! ```text
+//! cargo test --release -p gcache-bench --test fast_forward_differential -- --ignored
+//! ```
 
-use gcache_bench::PolicyPlanes;
+use gcache_bench::sweep::{run_design_points, DesignPoint};
+use gcache_bench::{PolicyPlanes, RunOpts};
 use gcache_sim::config::{GpuConfig, Hierarchy};
 use gcache_sim::gpu::Gpu;
 use gcache_sim::stats::SimStats;
@@ -102,4 +111,54 @@ fn fast_forward_matches_with_clean_copy_back() {
         format!("{slow:?}"),
         "CFD / GC+CB: fast-forward changed the statistics"
     );
+}
+
+/// The whole smoke grid — every registered benchmark × `designs(8)` on
+/// the flat machine — through the sweep engine three ways: serially with
+/// fast-forward off, serially with it on, and on two worker threads with
+/// it on. All three must agree on every [`SimStats`] field of every point.
+#[test]
+#[ignore = "full grid: minutes in debug; scripts/check.sh runs it in release"]
+fn full_grid_matches_plain_loop_and_parallel() {
+    let benches = gcache_workloads::registry(Scale::Test);
+    let grid: Vec<DesignPoint<'_>> = benches
+        .iter()
+        .flat_map(|b| {
+            gcache_bench::designs(8)
+                .into_iter()
+                .map(move |policy| DesignPoint {
+                    bench: b.as_ref(),
+                    policy,
+                    l1_kb: None,
+                    hierarchy: Hierarchy::Flat,
+                    cluster_ports: 1,
+                    planes: PolicyPlanes::default(),
+                })
+        })
+        .collect();
+    assert_eq!(grid.len(), 17 * 6, "smoke grid changed shape");
+
+    let plain = RunOpts {
+        fast_forward: false,
+        ..RunOpts::default()
+    };
+    let ff = RunOpts::default();
+    let serial_plain = run_design_points(&grid, 1, &plain);
+    let serial = run_design_points(&grid, 1, &ff);
+    let parallel = run_design_points(&grid, 2, &ff);
+    assert_eq!(serial.len(), grid.len());
+    assert_eq!(parallel.len(), grid.len());
+    for (i, point) in grid.iter().enumerate() {
+        let s = format!("{:?}", serial[i]);
+        assert_eq!(
+            s,
+            format!("{:?}", serial_plain[i]),
+            "{point:?}: fast-forward diverges from the plain cycle loop"
+        );
+        assert_eq!(
+            s,
+            format!("{:?}", parallel[i]),
+            "{point:?}: the 2-job sweep diverges from the serial one"
+        );
+    }
 }

@@ -2,23 +2,29 @@
 //! plane.
 //!
 //! The build environment is offline and the workspace is dependency-free
-//! by policy, so the pieces of the repo that *consume* JSON — the
-//! `bench_diff` regression gate reading `BENCH_sweep.json`, the trace
-//! round-trip test parsing emitted Chrome `trace_event` documents, the
-//! status-endpoint smoke reading `status.json` — share this hand-rolled
-//! recursive-descent parser instead of pulling in serde. It accepts
-//! strict JSON (RFC 8259) minus two deliberate simplifications:
+//! by policy, so the pieces of the repo that *consume* JSON — the sweep
+//! coordinator reading worker heartbeat files, the trace round-trip test
+//! parsing emitted Chrome `trace_event` documents, the status-endpoint
+//! smoke reading `status.json`, the benchmark's self-tests — share this
+//! hand-rolled recursive-descent parser instead of pulling in serde. It
+//! accepts strict JSON (RFC 8259) minus three deliberate simplifications:
 //!
 //! * numbers are surfaced as `f64` (every producer in this repo stays
-//!   well inside the exact-integer range of a double), and
+//!   well inside the exact-integer range of a double),
 //! * `\uXXXX` escapes outside the basic multilingual plane must come as
-//!   valid surrogate pairs, as real encoders emit them.
+//!   valid surrogate pairs, as real encoders emit them, and
+//! * arrays and objects nest at most 128 deep, so a corrupt or hostile
+//!   file read from disk is an `Err`, not a stack overflow.
 //!
 //! Object member order is preserved ([`Json::Obj`] is a `Vec`, not a
 //! map): the writers in this repo emit stable key orders and the tests
 //! assert on them.
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts — far above any
+/// document the repo writes.
+const MAX_DEPTH: usize = 128;
 
 /// One parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -44,11 +50,11 @@ impl Json {
     /// # Errors
     ///
     /// A human-readable description of the first syntax error, with its
-    /// byte offset.
+    /// byte offset, or of nesting deeper than 128 levels.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -151,12 +157,17 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value whose enclosing arrays/objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth),
+        Some(b'[') => parse_array(bytes, pos, depth),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -174,7 +185,7 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Js
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -187,7 +198,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth + 1)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -201,7 +212,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -210,7 +221,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth + 1)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -374,6 +385,17 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).is_err());
+        // Far past the limit must return, not overflow the stack.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

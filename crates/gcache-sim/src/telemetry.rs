@@ -44,7 +44,6 @@
 //! ```
 
 use gcache_core::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
-use std::fmt;
 
 /// Default sampling interval in cycles.
 pub const DEFAULT_INTERVAL: u64 = 4096;
@@ -681,67 +680,6 @@ impl Profile {
     pub const fn total_ns(&self) -> u64 {
         self.core_ns + self.icnt_ns + self.cluster_ns + self.mem_ns + self.dispatch_ns
     }
-
-    /// The mesh's share of instrumented wall-clock time (0 for an empty
-    /// profile) — the headline number the router hot-path work moves.
-    pub fn icnt_share(&self) -> f64 {
-        ratio(self.icnt_ns, self.total_ns())
-    }
-
-    /// The core array's share of instrumented wall-clock time (0 for an
-    /// empty profile) — the headline number the Core/L1 access-path work
-    /// moves, tracked next to [`Profile::icnt_share`] so hot-path
-    /// attribution is comparable across revisions.
-    pub fn core_share(&self) -> f64 {
-        ratio(self.core_ns, self.total_ns())
-    }
-
-    /// The profile as a JSON object (for `BENCH_sweep.json`).
-    pub fn json_object(&self) -> String {
-        format!(
-            "{{\"core_ns\":{},\"icnt_ns\":{},\"cluster_ns\":{},\"mem_ns\":{},\
-             \"dispatch_ns\":{},\"ticked_cycles\":{},\"bounds_computed\":{},\
-             \"ff_jumps\":{},\"cycles_skipped\":{},\"wake_skips\":{}}}",
-            self.core_ns,
-            self.icnt_ns,
-            self.cluster_ns,
-            self.mem_ns,
-            self.dispatch_ns,
-            self.ticked_cycles,
-            self.bounds_computed,
-            self.ff_jumps,
-            self.cycles_skipped,
-            self.wake_skips
-        )
-    }
-}
-
-impl fmt::Display for Profile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let total = self.total_ns().max(1) as f64;
-        let pct = |ns: u64| ns as f64 / total * 100.0;
-        writeln!(
-            f,
-            "per-component wall clock: cores {:.1}% | mesh {:.1}% | clusters {:.1}% | memory {:.1}% | dispatch {:.1}% ({:.1} ms total)",
-            pct(self.core_ns),
-            pct(self.icnt_ns),
-            pct(self.cluster_ns),
-            pct(self.mem_ns),
-            pct(self.dispatch_ns),
-            self.total_ns() as f64 / 1e6,
-        )?;
-        let simulated = self.ticked_cycles + self.cycles_skipped;
-        write!(
-            f,
-            "fast-forward: {} of {} cycles skipped ({:.1}%) in {} jumps / {} bounds; {} component ticks elided by wake caches",
-            self.cycles_skipped,
-            simulated,
-            ratio(self.cycles_skipped, simulated) * 100.0,
-            self.ff_jumps,
-            self.bounds_computed,
-            self.wake_skips,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -898,12 +836,6 @@ mod tests {
             cycles_skipped: 300,
             wake_skips: 50,
         };
-        assert_eq!(p.total_ns(), 100);
-        assert!((p.core_share() - 0.60).abs() < 1e-12);
-        assert!((p.icnt_share() - 0.10).abs() < 1e-12);
-        let r = p.to_string();
-        assert!(r.contains("cores 60.0%"));
-        assert!(r.contains("300 of 400 cycles skipped (75.0%)"));
-        assert!(p.json_object().contains("\"cycles_skipped\":300"));
+        assert_eq!(p.total_ns(), 100, "total spans all five host stages");
     }
 }
